@@ -17,7 +17,8 @@ let full = Sys.getenv_opt "FULL" <> None
 
 let benches = if full then None else Some fast_subset
 
-(* benchmarks fan out across domains; results are input-ordered, so the
+(* the testability sweeps fan out across JOBS domains (the Table 3 sweep
+   across the recommended count); results are input-ordered, so the
    printout is identical at any JOBS value *)
 let jobs =
   match Sys.getenv_opt "JOBS" with
@@ -51,7 +52,7 @@ let print_reproduction () =
              /. float_of_int r.Coverage.total)
             r.Coverage.npn_classes_covered r.Coverage.npn_classes_total)
         (if full then [ 2; 3; 4 ] else [ 2; 3 ]))
-    [ Core.library `Tg_static; Core.library `Cmos ];
+    [ Cell_lib.cached Cell_netlist.Tg_static; Cell_lib.cached Cell_netlist.Cmos ];
 
   hr "Table 2 - library characterization averages (computed | paper)";
   let paper_avgs =
@@ -85,120 +86,15 @@ let print_reproduction () =
      let _, s = Gate_fault.analyze ~rounds:8 (Option.get ctx.Flow.mapped) in
      Gate_fault.summary_line s);
 
-  hr (Printf.sprintf "Table 3 - mapping results%s"
+  (* Table 3, Figure 6 and the unit-load vs load-aware STA comparison
+     (the `sta ps` columns and `sta_speedup_*` aggregates) all render from
+     one Table 3 sweep *)
+  let rows = Experiments.run_table3 ?benches () in
+  hr (Printf.sprintf "Table 3 and Figure 6 - mapping results%s"
         (if full then "" else " (fast subset; FULL=1 for all 15)"));
-  let rows =
-    let opts = Experiments.default_options in
-    let libs = Experiments.libraries opts in
-    let entries =
-      match benches with
-      | None -> Bench_suite.all
-      | Some names -> List.map Bench_suite.find names
-    in
-    Array.to_list
-      (Flow.Runner.map_jobs ~domains:jobs
-         (Experiments.run_bench opts libs)
-         (Array.of_list entries))
-  in
-  Printf.printf
-    "%-8s %-7s %6s %9s %7s %8s %9s %9s   (paper: gates area levels delay ps)\n"
-    "bench" "lib" "gates" "area" "levels" "delay" "ps" "sta-ps";
-  List.iter
-    (fun (r : Experiments.t3_row) ->
-      let paper =
-        try Some (Paper_data.table3_find r.Experiments.bench)
-        with Not_found -> None
-      in
-      let line name (c : Experiments.t3_cell) pick =
-        let s = c.Experiments.stats in
-        Printf.printf "%-8s %-7s %6d %9.1f %7d %8.1f %9.1f %9.1f"
-          r.Experiments.bench
-          name s.Mapped.gates s.Mapped.area s.Mapped.levels s.Mapped.norm_delay
-          s.Mapped.abs_delay_ps s.Mapped.sta_abs_delay_ps;
-        (match Option.map pick paper with
-        | Some (p : Paper_data.mapping_result) ->
-            Printf.printf "   (%d %.0f %d %.1f %.1f)" p.Paper_data.gates
-              p.Paper_data.area p.Paper_data.levels p.Paper_data.norm_delay
-              p.Paper_data.abs_delay_ps
-        | None -> ());
-        print_newline ()
-      in
-      line "static" r.Experiments.static_r (fun p -> p.Paper_data.static);
-      line "pseudo" r.Experiments.pseudo_r (fun p -> p.Paper_data.pseudo);
-      line "cmos" r.Experiments.cmos_r (fun p -> p.Paper_data.cmos_map))
-    rows;
-  Printf.printf "\naggregates (computed | paper):\n";
-  let paper_of = function
-    | "gate_reduction_static" -> Some 0.386
-    | "area_reduction_static" -> Some 0.377
-    | "area_reduction_pseudo" -> Some 0.645
-    | "level_reduction_static" -> Some 0.415
-    | "level_reduction_pseudo" -> Some 0.404
-    | "speedup_static" -> Some 6.9
-    | "speedup_pseudo" -> Some 5.8
-    | _ -> None
-  in
-  List.iter
-    (fun (k, v) ->
-      match paper_of k with
-      | Some p -> Printf.printf "  %-24s %6.3f | %.3f\n" k v p
-      | None -> Printf.printf "  %-24s %6.3f |\n" k v)
-    (Experiments.summarize rows);
-
-  hr "Figure 6 - CMOS/CNTFET absolute delay ratio";
-  List.iter
-    (fun (r : Experiments.t3_row) ->
-      let cm = r.Experiments.cmos_r.Experiments.stats.Mapped.abs_delay_ps in
-      let st = r.Experiments.static_r.Experiments.stats.Mapped.abs_delay_ps in
-      let ps = r.Experiments.pseudo_r.Experiments.stats.Mapped.abs_delay_ps in
-      let paper =
-        List.find_opt
-          (fun (n, _, _) -> n = r.Experiments.bench)
-          Paper_data.fig6_speedups
-      in
-      match paper with
-      | Some (_, a, b) ->
-          Printf.printf
-            "  %-8s static %5.2fx (paper %5.2fx)  pseudo %5.2fx (paper %5.2fx)\n"
-            r.Experiments.bench (cm /. st) a (cm /. ps) b
-      | None ->
-          Printf.printf "  %-8s static %5.2fx  pseudo %5.2fx\n"
-            r.Experiments.bench (cm /. st) (cm /. ps))
-    rows;
-
-  hr "STA - load-aware delay vs the published unit-load convention";
-  Printf.printf
-    "%-8s %-7s %10s %10s %10s   (unit-load FO4 | load-aware STA | paper)\n"
-    "bench" "lib" "ps" "sta-ps" "paper-ps";
-  List.iter
-    (fun (r : Experiments.t3_row) ->
-      let paper =
-        try Some (Paper_data.table3_find r.Experiments.bench)
-        with Not_found -> None
-      in
-      let line name (c : Experiments.t3_cell) pick =
-        let s = c.Experiments.stats in
-        let pub =
-          match Option.map pick paper with
-          | Some (p : Paper_data.mapping_result) ->
-              Printf.sprintf "%10.1f" p.Paper_data.abs_delay_ps
-          | None -> Printf.sprintf "%10s" "-"
-        in
-        Printf.printf "%-8s %-7s %10.1f %10.1f %s\n" r.Experiments.bench name
-          s.Mapped.abs_delay_ps s.Mapped.sta_abs_delay_ps pub
-      in
-      line "static" r.Experiments.static_r (fun p -> p.Paper_data.static);
-      line "cmos" r.Experiments.cmos_r (fun p -> p.Paper_data.cmos_map))
-    rows;
-  let assoc k l = try List.assoc k l with Not_found -> nan in
-  let sums = Experiments.summarize rows in
-  Printf.printf
-    "\n  speedup vs CMOS: unit-load static %.2fx pseudo %.2fx | STA static \
-     %.2fx pseudo %.2fx | paper 6.9x / 5.8x\n"
-    (assoc "speedup_static" sums)
-    (assoc "speedup_pseudo" sums)
-    (assoc "sta_speedup_static" sums)
-    (assoc "sta_speedup_pseudo" sums);
+  print_string (Experiments.render_table3 rows);
+  print_newline ();
+  print_string (Experiments.render_fig6 rows);
 
   hr "STA-backed timing-driven mapping (static library)";
   Printf.printf "%-8s %10s %10s %12s %12s\n" "bench" "delay" "delay(tm)"
@@ -336,12 +232,9 @@ let print_ablations () =
   hr "Ablation: free output polarity (C1355, static library)";
   List.iter
     (fun free ->
-      let opts =
-        { Experiments.default_options with
-          Experiments.free_output_polarity = free }
-      in
-      let lib_s, _, _ = Experiments.libraries opts in
-      let m = Mapper.map lib_s aig in
+      let lib = Cell_lib.cached Cell_netlist.Tg_static in
+      let lib = if free then lib else Experiments.without_free_polarity lib in
+      let m = Mapper.map lib aig in
       let s = Mapped.stats m in
       Printf.printf "  free-polarity=%-5b gates=%d area=%.1f delay=%.1f\n" free
         s.Mapped.gates s.Mapped.area s.Mapped.norm_delay)
@@ -362,23 +255,20 @@ let print_ablations () =
 
   hr "Ablation: characterization source (C1355)";
   List.iter
-    (fun (name, src) ->
-      let opts =
-        { Experiments.default_options with Experiments.char_source = src }
-      in
-      let lib_s, _, _ = Experiments.libraries opts in
-      let m = Mapper.map lib_s aig in
+    (fun (name, lib) ->
+      let m = Mapper.map lib aig in
       let s = Mapped.stats m in
       Printf.printf "  %-10s gates=%d area=%.1f delay=%.1f\n" name
         s.Mapped.gates s.Mapped.area s.Mapped.norm_delay)
-    [ ("computed", Experiments.Computed); ("published", Experiments.Published) ]
+    [ ("computed", Cell_lib.cached Cell_netlist.Tg_static);
+      ("published", Experiments.published_library Cell_netlist.Tg_static) ]
 
 (* ---------------- bechamel timing ---------------- *)
 
 let timing_tests () =
   let adder16 = Synth.resyn2rs (Arith.adder 16) in
-  let lib_static = Core.library `Tg_static in
-  let lib_cmos = Core.library `Cmos in
+  let lib_static = Cell_lib.cached Cell_netlist.Tg_static in
+  let lib_cmos = Cell_lib.cached Cell_netlist.Cmos in
   let t481 = Logic_gen.t481_like () in
   let mult = Arith.multiplier 8 in
   [

@@ -175,7 +175,7 @@ let count_unknown s =
    measurements at 0ms, and nan/inf are not valid JSON *)
 let speedup a b = if b > 0.0 then a /. b else 0.0
 
-let run_bench lib fam_name (e : Bench_suite.entry) =
+let bench_row lib fam_name (e : Bench_suite.entry) =
   let build () =
     let aig = e.Bench_suite.build () in
     let opt = Synth.resyn2rs aig in
@@ -275,7 +275,7 @@ let () =
         let fam_name = Cli_common.family_arg_name fam in
         List.map
           (fun (e : Bench_suite.entry) ->
-            let row = run_bench lib fam_name e in
+            let row = bench_row lib fam_name e in
             Printf.printf
               "%-10s %-12s cec %s/%s ref=%8.2fms cdcl=%8.2fms x%5.2f | atpg \
                rebuild=%8.2fms incr=%8.2fms x%5.2f unk=%d/%d\n%!"

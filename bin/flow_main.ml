@@ -314,15 +314,8 @@ let main () =
      );
   (* Crash diagnostics get their own exit code so callers (CI, the serve
      supervisor's smoke tests) can tell "the design has findings" from
-     "the tool itself broke and the isolation machinery caught it".
-     Crash takes precedence over findings. *)
-  let crash_rules =
-    [ "flow-pass-crash"; "flow-bench-crash"; "flow-driver-crash" ]
-  in
-  let crashed =
-    List.exists (fun (d : Diag.t) -> List.mem d.Diag.rule crash_rules) diags
-  in
-  exit (if crashed then 3 else if Diag.has_errors diags then 1 else 0)
+     "the tool itself broke and the isolation machinery caught it". *)
+  exit (Flow.exit_code diags)
 
 (* Anything that still escapes (a crashing pass under --no-isolate, a full
    disk while checkpointing, ...) is reported as a diagnostic line, never a

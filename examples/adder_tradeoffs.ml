@@ -12,8 +12,20 @@ let () =
     "------+---------------+-------+---------+--------+-------+--------@.";
   List.iter
     (fun width ->
-      let aig = Arith.adder width in
-      let results = Core.compare_families aig in
+      let ctx, _ =
+        Flow.run (Flow.parse_script_exn "resyn2rs")
+          (Flow.init ~name:"adder" (Arith.adder width))
+      in
+      let results =
+        List.map
+          (fun family ->
+            let ctx, _ =
+              Flow.run (Flow.parse_script_exn "map") { ctx with Flow.family }
+            in
+            let m = Option.get ctx.Flow.mapped in
+            (m.Mapped.lib_name, Mapped.stats m))
+          [ Cell_netlist.Tg_static; Cell_netlist.Tg_pseudo; Cell_netlist.Cmos ]
+      in
       let cmos_ps =
         match List.rev results with
         | (_, s) :: _ -> s.Mapped.abs_delay_ps

@@ -8,17 +8,23 @@
 
 let () =
   let aig = Arith.adder 16 in
-  let r = Core.run ~family:`Tg_static aig in
-  Format.printf "mapped: %a@." Mapped.pp_stats r.Core.mapped;
+  let ctx, _ =
+    Flow.run
+      (Flow.parse_script_exn "resyn2rs; map(family=static); verify")
+      (Flow.init ~name:"add-16" aig)
+  in
+  if ctx.Flow.verified <> Some true then failwith "mapping not verified";
+  let mapped = Option.get ctx.Flow.mapped in
+  Format.printf "mapped: %a@." Mapped.pp_stats mapped;
 
-  let gates = (Mapped.stats r.Core.mapped).Mapped.gates in
+  let gates = (Mapped.stats mapped).Mapped.gates in
   let side = 1 + int_of_float (sqrt (float_of_int (2 * gates))) in
   let fab = Fabric.create ~rows:side ~cols:side in
   Format.printf "fabric: %dx%d checkerboard of GNOR/GNAND blocks@."
     (Fabric.rows fab) (Fabric.cols fab);
 
   let p =
-    match Fabric.place fab r.Core.mapped with
+    match Fabric.place fab mapped with
     | Ok p -> p
     | Error e ->
         prerr_endline (Fabric.error_message e);

@@ -11,27 +11,22 @@ let () =
   let opt = Synth.resyn2rs aig in
   Format.printf "after resyn2rs:        %a@." Aig.pp_stats opt;
 
-  let rng = Rand64.create 1234L in
+  (* 512 random 32-bit multiplications against the mapped netlist *)
   let check mapped =
-    (* 512 random 32-bit multiplications against the mapped netlist *)
-    let ok = ref true in
-    for _ = 1 to 8 do
-      let words = Array.init (Aig.num_inputs aig) (fun _ -> Rand64.next rng) in
-      if Aig.simulate_outputs aig words <> Mapped.simulate mapped words then
-        ok := false
-    done;
-    !ok
+    Mapped.agrees_by_simulation ~seed:1234L ~rounds:8 aig mapped
   in
   let cmos_ps = ref nan in
   List.iter
     (fun family ->
-      let m = Mapper.map (Core.library family) opt in
+      let lib = Cell_lib.cached family in
+      let m = Mapper.map lib opt in
       let s = Mapped.stats m in
-      if family = `Cmos then cmos_ps := s.Mapped.abs_delay_ps;
-      Format.printf "%-18s %a   verified=%b@."
-        (Cell_lib.name (Core.library family))
+      if family = Cell_netlist.Cmos then cmos_ps := s.Mapped.abs_delay_ps;
+      Format.printf "%-18s %a   verified=%b@." (Cell_lib.name lib)
         Mapped.pp_stats m (check m))
-    [ `Cmos; `Tg_static; `Tg_pseudo ];
-  let s = Mapped.stats (Mapper.map (Core.library `Tg_static) opt) in
+    [ Cell_netlist.Cmos; Cell_netlist.Tg_static; Cell_netlist.Tg_pseudo ];
+  let s =
+    Mapped.stats (Mapper.map (Cell_lib.cached Cell_netlist.Tg_static) opt)
+  in
   Format.printf "static speed-up over CMOS: %.1fx (paper: ~10x on C6288)@."
     (!cmos_ps /. s.Mapped.abs_delay_ps)

@@ -305,7 +305,7 @@ let pass_verify cfg step ctx =
     | None -> cfg.seed
   in
   let rounds = Option.value (arg_int step "rounds") ~default:cfg.verify_rounds in
-  let ok = Experiments.verify_by_simulation ~seed ~rounds golden m in
+  let ok = Mapped.agrees_by_simulation ~seed ~rounds golden m in
   let diags =
     if ok then ctx.diags
     else
@@ -1094,6 +1094,14 @@ let summary_line ctx =
             [ Printf.sprintf "lint=%dE/%dW/%dI" e w i ]
       in
       if extras = [] then base else base ^ "  " ^ String.concat " " extras
+
+let crash_rules = [ "flow-pass-crash"; "flow-bench-crash"; "flow-driver-crash" ]
+
+let exit_code diags =
+  if List.exists (fun (d : Diag.t) -> List.mem d.Diag.rule crash_rules) diags
+  then 3
+  else if Diag.has_errors diags then 1
+  else 0
 
 (* ---------------- deterministic parallel runner ---------------- *)
 

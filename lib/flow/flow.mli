@@ -170,6 +170,13 @@ val summary_line : ctx -> string
 (** One deterministic report line: [name/family gates=… area=… levels=…
     delay=… ps=… sta-ps=…] (falls back to AIG statistics while unmapped). *)
 
+val exit_code : Diag.t list -> int
+(** The drivers' exit status for a run's findings: 3 when a pass,
+    benchmark or driver crashed ([flow-pass-crash], [flow-bench-crash],
+    [flow-driver-crash]; crash takes precedence), 1 for any other Error
+    diagnostic (lint or verification failures such as [map-verify]), 0
+    otherwise. *)
+
 (** {1 Deterministic parallel runner} *)
 
 module Runner : sig

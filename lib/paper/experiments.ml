@@ -1,28 +1,3 @@
-type char_source = Computed | Published
-
-type options = {
-  char_source : char_source;
-  delay : Cell_lib.delay_choice;
-  synthesize : bool;
-  cut_size : int;
-  free_output_polarity : bool;
-  verify : bool;
-  verify_seed : int64;
-  timing_map : bool;
-}
-
-let default_options =
-  {
-    char_source = Computed;
-    delay = Cell_lib.Worst;
-    synthesize = true;
-    cut_size = 6;
-    free_output_polarity = true;
-    verify = false;
-    verify_seed = 2026L;
-    timing_map = false;
-  }
-
 (* ---------------- Table 1 ---------------- *)
 
 let render_table1 () =
@@ -46,13 +21,6 @@ let render_table1 () =
 
 (* ---------------- Table 2 ---------------- *)
 
-type t2_row = {
-  gate : string;
-  family : Cell_netlist.family;
-  computed : Charlib.row;
-  published : Paper_data.gate_char option;
-}
-
 let published_of family gate =
   let row = Paper_data.table2_find gate in
   match family with
@@ -67,20 +35,6 @@ let table2_families =
      it); the paper prints no column for it, so it appears computed-only. *)
   [ Cell_netlist.Tg_static; Cell_netlist.Tg_pseudo; Cell_netlist.Pass_pseudo;
     Cell_netlist.Pass_static; Cell_netlist.Cmos ]
-
-let run_table2 () =
-  List.concat_map
-    (fun family ->
-      List.map
-        (fun (r : Charlib.row) ->
-          {
-            gate = r.Charlib.name;
-            family;
-            computed = r;
-            published = published_of family r.Charlib.name;
-          })
-        (Charlib.characterize_catalog family))
-    table2_families
 
 let render_table2 () =
   let b = Buffer.create 16384 in
@@ -114,14 +68,9 @@ let render_table2 () =
     table2_families;
   Buffer.contents b
 
-(* ---------------- libraries ---------------- *)
+(* ---------------- ablation libraries ---------------- *)
 
-let published_lib family ~delay ~free_phases =
-  let pick (gc : Paper_data.gate_char) =
-    match delay with
-    | Cell_lib.Worst -> gc.Paper_data.w
-    | Cell_lib.Average -> gc.Paper_data.avg
-  in
+let published_library family =
   let entries =
     match family with
     | Cell_netlist.Cmos -> Catalog.cmos_subset
@@ -133,7 +82,7 @@ let published_lib family ~delay ~free_phases =
         let gc =
           match published_of family e.Catalog.name with
           | Some gc -> gc
-          | None -> invalid_arg "published_lib"
+          | None -> invalid_arg "published_library"
         in
         let base_tt = Gate_spec.tt6 e.Catalog.spec in
         {
@@ -145,119 +94,91 @@ let published_lib family ~delay ~free_phases =
           tt =
             (if family = Cell_netlist.Cmos then Int64.lognot base_tt else base_tt);
           area = gc.Paper_data.a;
-          delay = pick gc;
+          delay = gc.Paper_data.w;
           timing = None;
         })
       entries
   in
   Cell_lib.of_cells
     ~name:(Cell_netlist.family_name family ^ "(paper)")
-    ~free_phases ~tau_ps:(Charlib.tau_ps family) cells
+    ~free_phases:(family <> Cell_netlist.Cmos)
+    ~tau_ps:(Charlib.tau_ps family) cells
 
-let libraries opts =
-  let fp = opts.free_output_polarity in
-  match opts.char_source with
-  | Computed ->
-      ( Cell_lib.cached ~delay:opts.delay Cell_netlist.Tg_static,
-        Cell_lib.cached ~delay:opts.delay Cell_netlist.Tg_pseudo,
-        Cell_lib.cached ~delay:opts.delay Cell_netlist.Cmos )
-      |> fun (s, p, c) ->
-      if fp then (s, p, c)
-      else
-        (* ablation: rebuild CNTFET libraries without free phases; they
-           then need an explicit inverter cell, modeled by F00 *)
-        let strip lib =
-          Cell_lib.of_cells
-            ~name:(Cell_lib.name lib ^ "(no-free-pol)")
-            ~free_phases:false ~tau_ps:(Cell_lib.tau_ps lib)
-            (List.map
-               (fun (c : Cell_lib.cell) ->
-                 if c.Cell_lib.name = "F00" then
-                   { c with Cell_lib.tt = Int64.lognot c.Cell_lib.tt }
-                 else c)
-               (Cell_lib.cells lib))
-        in
-        (strip s, strip p, c)
-  | Published ->
-      ( published_lib Cell_netlist.Tg_static ~delay:opts.delay ~free_phases:fp,
-        published_lib Cell_netlist.Tg_pseudo ~delay:opts.delay ~free_phases:fp,
-        published_lib Cell_netlist.Cmos ~delay:opts.delay ~free_phases:false )
+(* Without free phases the library needs an explicit inverter cell,
+   modeled by F00. *)
+let without_free_polarity lib =
+  Cell_lib.of_cells
+    ~name:(Cell_lib.name lib ^ "(no-free-pol)")
+    ~free_phases:false ~tau_ps:(Cell_lib.tau_ps lib)
+    (List.map
+       (fun (c : Cell_lib.cell) ->
+         if c.Cell_lib.name = "F00" then
+           { c with Cell_lib.tt = Int64.lognot c.Cell_lib.tt }
+         else c)
+       (Cell_lib.cells lib))
 
 (* ---------------- Table 3 ---------------- *)
 
-type t3_cell = {
-  stats : Mapped.stats;
-  cells_used : (string * int) list;
-}
-
 type t3_row = {
   bench : string;
-  description : string;
-  aig_size : int;
-  static_r : t3_cell;
-  pseudo_r : t3_cell;
-  cmos_r : t3_cell;
+  static_r : Mapped.stats;
+  pseudo_r : Mapped.stats;
+  cmos_r : Mapped.stats;
 }
 
-let verify_by_simulation ?(seed = 2026L) ?(rounds = 8) aig mapped =
-  let rng = Rand64.create seed in
-  let ok = ref true in
-  for _ = 1 to rounds do
-    let words =
-      Array.init (Aig.num_inputs aig) (fun _ -> Rand64.next rng)
-    in
-    let oa = Aig.simulate_outputs aig words in
-    let om = Mapped.simulate mapped words in
-    if oa <> om then ok := false
-  done;
-  !ok
+let table3_families =
+  [ Cell_netlist.Tg_static; Cell_netlist.Tg_pseudo; Cell_netlist.Cmos ]
 
-let run_bench opts (lib_s, lib_p, lib_c) (e : Bench_suite.entry) =
-  let aig = e.Bench_suite.build () in
-  let opt = if opts.synthesize then Synth.resyn2rs aig else aig in
-  let params =
-    {
-      Mapper.default_params with
-      Mapper.cut_size = opts.cut_size;
-      timing = opts.timing_map;
-    }
-  in
-  let one lib =
-    let m = Mapper.map ~params lib opt in
-    if opts.verify && not (verify_by_simulation ~seed:opts.verify_seed opt m)
-    then
-      failwith (Printf.sprintf "mapping of %s against %s is not equivalent"
-                  e.Bench_suite.name (Cell_lib.name lib));
-    { stats = Mapped.stats m; cells_used = Mapped.count_cells m }
-  in
-  {
-    bench = e.Bench_suite.name;
-    description = e.Bench_suite.description;
-    aig_size = Aig.num_ands opt;
-    static_r = one lib_s;
-    pseudo_r = one lib_p;
-    cmos_r = one lib_c;
-  }
-
-let run_table3 ?(options = default_options) ?benches () =
-  let libs = libraries options in
+let run_table3 ?(config = Flow.default_config) ?benches () =
   let entries =
     match benches with
     | None -> Bench_suite.all
     | Some names -> List.map Bench_suite.find names
   in
-  List.map (run_bench options libs) entries
+  let results =
+    Flow.run_matrix ~domains:(Flow.Runner.recommended_domains ()) ~config
+      ~script:(Flow.parse_script_exn "resyn2rs; map; verify")
+      ~families:table3_families entries
+  in
+  let unverified =
+    List.concat_map
+      (fun (r : Flow.bench_result) ->
+        List.filter_map
+          (fun (family, (ctx : Flow.ctx), _) ->
+            if ctx.Flow.verified = Some true then None
+            else Some (r.Flow.br_bench ^ "/" ^ Cell_netlist.family_name family))
+          r.Flow.br_per_family)
+      (Array.to_list results)
+  in
+  if unverified <> [] then
+    failwith
+      ("mapping disagrees with its source AIG: " ^ String.concat ", " unverified);
+  let stats (r : Flow.bench_result) family =
+    let _, (ctx : Flow.ctx), _ =
+      List.find (fun (f, _, _) -> f = family) r.Flow.br_per_family
+    in
+    Mapped.stats (Option.get ctx.Flow.mapped)
+  in
+  List.map
+    (fun (r : Flow.bench_result) ->
+      {
+        bench = r.Flow.br_bench;
+        static_r = stats r Cell_netlist.Tg_static;
+        pseudo_r = stats r Cell_netlist.Tg_pseudo;
+        cmos_r = stats r Cell_netlist.Cmos;
+      })
+    (Array.to_list results)
 
 let favg f rows =
   List.fold_left (fun a r -> a +. f r) 0.0 rows /. float_of_int (List.length rows)
 
 let summarize rows =
-  let g sel (r : t3_row) = float_of_int (sel r).stats.Mapped.gates in
-  let a sel (r : t3_row) = (sel r).stats.Mapped.area in
-  let l sel (r : t3_row) = float_of_int (sel r).stats.Mapped.levels in
-  let d sel (r : t3_row) = (sel r).stats.Mapped.norm_delay in
-  let abs_ sel (r : t3_row) = (sel r).stats.Mapped.abs_delay_ps in
-  let sta_abs sel (r : t3_row) = (sel r).stats.Mapped.sta_abs_delay_ps in
+  let g sel (r : t3_row) = float_of_int (sel r).Mapped.gates in
+  let a sel (r : t3_row) = (sel r).Mapped.area in
+  let l sel (r : t3_row) = float_of_int (sel r).Mapped.levels in
+  let d sel (r : t3_row) = (sel r).Mapped.norm_delay in
+  let abs_ sel (r : t3_row) = (sel r).Mapped.abs_delay_ps in
+  let sta_abs sel (r : t3_row) = (sel r).Mapped.sta_abs_delay_ps in
   let st r = r.static_r and ps r = r.pseudo_r and cm r = r.cmos_r in
   let red f sel = 1.0 -. (favg (f sel) rows /. favg (f cm) rows) in
   let speedup sel = favg (fun r -> abs_ cm r /. abs_ sel r) rows in
@@ -277,8 +198,7 @@ let summarize rows =
     ("sta_speedup_pseudo", sta_speedup ps);
   ]
 
-let render_table3 ?(options = default_options) ?benches () =
-  let rows = run_table3 ~options ?benches () in
+let render_table3 rows =
   let b = Buffer.create 16384 in
   Buffer.add_string b
     "# Table 3 — technology mapping results (computed | paper)\n\n\
@@ -292,9 +212,8 @@ let render_table3 ?(options = default_options) ?benches () =
   List.iter
     (fun r ->
       let paper = try Some (Paper_data.table3_find r.bench) with Not_found -> None in
-      let line name (c : t3_cell) (p : Paper_data.mapping_result option) =
-        let s = c.stats in
-        (match p with
+      let line name (s : Mapped.stats) (p : Paper_data.mapping_result option) =
+        match p with
         | Some p ->
             Printf.bprintf b
               "| %s | %s | %d | %.1f | %d | %.1f | %.1f | %.1f | %d | %.1f | %d | %.1f | %.1f |\n"
@@ -308,7 +227,7 @@ let render_table3 ?(options = default_options) ?benches () =
               "| %s | %s | %d | %.1f | %d | %.1f | %.1f | %.1f | | | | | |\n"
               r.bench name s.Mapped.gates s.Mapped.area s.Mapped.levels
               s.Mapped.norm_delay s.Mapped.abs_delay_ps
-              s.Mapped.sta_abs_delay_ps)
+              s.Mapped.sta_abs_delay_ps
       in
       line "static" r.static_r
         (Option.map (fun p -> p.Paper_data.static) paper);
@@ -319,60 +238,21 @@ let render_table3 ?(options = default_options) ?benches () =
     rows;
   Buffer.add_string b "\n## Aggregate improvements vs CMOS\n\n";
   Buffer.add_string b "| metric | computed | paper |\n|--------|----------|-------|\n";
-  let paper_of = function
-    | "gate_reduction_static" -> Some 0.386
-    | "area_reduction_static" -> Some 0.377
-    | "area_reduction_pseudo" -> Some 0.645
-    | "level_reduction_static" -> Some 0.415
-    | "level_reduction_pseudo" -> Some 0.404
-    | "speedup_static" -> Some 6.9
-    | "speedup_pseudo" -> Some 5.8
-    | _ -> None
-  in
   List.iter
     (fun (k, v) ->
-      match paper_of k with
+      match List.assoc_opt k Paper_data.aggregates with
       | Some p -> Printf.bprintf b "| %s | %.3f | %.3f |\n" k v p
       | None -> Printf.bprintf b "| %s | %.3f | |\n" k v)
     (summarize rows);
   Buffer.contents b
 
-let run_fig6 ?(options = default_options) ?benches () =
-  let rows = run_table3 ~options ?benches () in
-  List.map
-    (fun r ->
-      ( r.bench,
-        r.cmos_r.stats.Mapped.abs_delay_ps /. r.static_r.stats.Mapped.abs_delay_ps,
-        r.cmos_r.stats.Mapped.abs_delay_ps /. r.pseudo_r.stats.Mapped.abs_delay_ps ))
-    rows
-
-let run_fig6_sta ?(options = default_options) ?benches () =
-  let rows = run_table3 ~options ?benches () in
-  List.map
-    (fun r ->
-      ( r.bench,
-        r.cmos_r.stats.Mapped.sta_abs_delay_ps
-        /. r.static_r.stats.Mapped.sta_abs_delay_ps,
-        r.cmos_r.stats.Mapped.sta_abs_delay_ps
-        /. r.pseudo_r.stats.Mapped.sta_abs_delay_ps ))
-    rows
-
-let render_fig6 ?(options = default_options) ?benches () =
-  let rows = run_table3 ~options ?benches () in
-  let data =
-    List.map
-      (fun r ->
-        ( r.bench,
-          r.cmos_r.stats.Mapped.abs_delay_ps
-          /. r.static_r.stats.Mapped.abs_delay_ps,
-          r.cmos_r.stats.Mapped.abs_delay_ps
-          /. r.pseudo_r.stats.Mapped.abs_delay_ps,
-          r.cmos_r.stats.Mapped.sta_abs_delay_ps
-          /. r.static_r.stats.Mapped.sta_abs_delay_ps,
-          r.cmos_r.stats.Mapped.sta_abs_delay_ps
-          /. r.pseudo_r.stats.Mapped.sta_abs_delay_ps ))
-      rows
+let render_fig6 rows =
+  (* CMOS delay over static and over pseudo delay, under [sel]'s model *)
+  let ratio sel (r : t3_row) : float * float =
+    (sel r.cmos_r /. sel r.static_r, sel r.cmos_r /. sel r.pseudo_r)
   in
+  let unit_load (s : Mapped.stats) = s.Mapped.abs_delay_ps in
+  let sta (s : Mapped.stats) = s.Mapped.sta_abs_delay_ps in
   let b = Buffer.create 4096 in
   Buffer.add_string b
     "# Figure 6 — absolute-delay ratio of CMOS to CNTFET implementations\n\n\
@@ -381,23 +261,23 @@ let render_fig6 ?(options = default_options) ?benches () =
      | Bench | static (computed) | pseudo (computed) | static (sta) | pseudo (sta) | static (paper) | pseudo (paper) |\n\
      |-------|-------------------|-------------------|--------------|--------------|----------------|----------------|\n";
   List.iter
-    (fun (bench, s, p, ss, sp) ->
+    (fun r ->
+      let s, p = ratio unit_load r and ss, sp = ratio sta r in
       let ps, pp =
         match
-          List.find_opt (fun (n, _, _) -> n = bench) Paper_data.fig6_speedups
+          List.find_opt (fun (n, _, _) -> n = r.bench) Paper_data.fig6_speedups
         with
         | Some (_, a, c) -> (a, c)
         | None -> (nan, nan)
       in
       Printf.bprintf b "| %s | %.2f | %.2f | %.2f | %.2f | %.2f | %.2f |\n"
-        bench s p ss sp ps pp)
-    data;
-  let avg sel =
-    favg sel (List.map (fun (_, s, p, ss, sp) -> ((s, p), (ss, sp))) data)
-  in
-  Printf.bprintf b "| **avg** | %.2f | %.2f | %.2f | %.2f | 6.9 | 5.8 |\n"
-    (avg (fun ((s, _), _) -> s))
-    (avg (fun ((_, p), _) -> p))
-    (avg (fun (_, (ss, _)) -> ss))
-    (avg (fun (_, (_, sp)) -> sp));
+        r.bench s p ss sp ps pp)
+    rows;
+  Printf.bprintf b "| **avg** | %.2f | %.2f | %.2f | %.2f | %.1f | %.1f |\n"
+    (favg (fun r -> fst (ratio unit_load r)) rows)
+    (favg (fun r -> snd (ratio unit_load r)) rows)
+    (favg (fun r -> fst (ratio sta r)) rows)
+    (favg (fun r -> snd (ratio sta r)) rows)
+    (List.assoc "speedup_static" Paper_data.aggregates)
+    (List.assoc "speedup_pseudo" Paper_data.aggregates);
   Buffer.contents b

@@ -1,32 +1,9 @@
-(** Drivers that regenerate the paper's evaluation artifacts.
+(** Renderers of the paper's evaluation artifacts.
 
-    Each [run_*] function returns structured results; each [render_*]
-    produces a markdown report comparing computed values against the
-    published numbers in {!Paper_data}. *)
-
-type char_source =
-  | Computed   (** our switch-level characterization ({!Charlib}) *)
-  | Published  (** the numbers printed in the paper's Table 2 *)
-
-type options = {
-  char_source : char_source;
-  delay : Cell_lib.delay_choice;
-  synthesize : bool;       (** run the resyn2rs-like script before mapping *)
-  cut_size : int;
-  free_output_polarity : bool;
-      (** CNTFET cells provide both output polarities (the paper's
-          output-inverter convention); disabling charges inverters like
-          CMOS (ablation) *)
-  verify : bool;           (** check every mapping by random simulation *)
-  verify_seed : int64;
-      (** RNG seed of the verification patterns (default 2026) — explicit
-          so CI runs are reproducible *)
-  timing_map : bool;
-      (** map with {!Mapper}'s STA-backed load-aware delay cost instead of
-          the fixed unit-load FO4 (default false — the paper's setup) *)
-}
-
-val default_options : options
+    Table 3 and Figure 6 come from one {!Flow.run_matrix} sweep of
+    [resyn2rs; map; verify] ({!run_table3}); each [render_*] produces a
+    markdown report comparing computed values against the published
+    numbers in {!Paper_data}. *)
 
 (** {1 Table 1} *)
 
@@ -34,61 +11,45 @@ val render_table1 : unit -> string
 
 (** {1 Table 2} *)
 
-type t2_row = {
-  gate : string;
-  family : Cell_netlist.family;
-  computed : Charlib.row;
-  published : Paper_data.gate_char option;
-}
-
-val run_table2 : unit -> t2_row list
 val render_table2 : unit -> string
+
+(** {1 Ablation libraries} *)
+
+val published_library : Cell_netlist.family -> Cell_lib.t
+(** A match library built from the paper's printed Table 2 (area and
+    worst-case FO4 delay per cell) instead of our characterization; free
+    output phases for the CNTFET families.  Raises [Invalid_argument] for
+    [Pass_static], which the paper does not print. *)
+
+val without_free_polarity : Cell_lib.t -> Cell_lib.t
+(** The library with inverters charged like CMOS: no free output phases,
+    with F00 as the explicit inverter cell (the output-polarity
+    ablation). *)
 
 (** {1 Table 3 / Figure 6} *)
 
-type t3_cell = {
-  stats : Mapped.stats;
-  cells_used : (string * int) list;
-}
-
 type t3_row = {
   bench : string;
-  description : string;
-  aig_size : int;                  (** AND nodes after synthesis *)
-  static_r : t3_cell;
-  pseudo_r : t3_cell;
-  cmos_r : t3_cell;
+  static_r : Mapped.stats;
+  pseudo_r : Mapped.stats;
+  cmos_r : Mapped.stats;
 }
 
-val verify_by_simulation :
-  ?seed:int64 -> ?rounds:int -> Aig.t -> Mapped.t -> bool
-(** [rounds] batches of 64 random patterns (default 8) from a {!Rand64}
-    stream seeded with [seed] (default 2026). *)
+val run_table3 : ?config:Flow.config -> ?benches:string list -> unit -> t3_row list
+(** The Table 3 sweep: every benchmark (default the whole suite) through
+    [resyn2rs; map; verify] onto the static, pseudo and CMOS libraries, as
+    one {!Flow.run_matrix} over the recommended number of domains (output
+    is identical at any number).  [config.seed] seeds [verify].  Raises
+    [Failure] naming every bench/family whose mapping disagrees with its
+    source AIG. *)
 
-val libraries : options -> Cell_lib.t * Cell_lib.t * Cell_lib.t
-(** (static, pseudo, cmos) — the default computed/free-polarity
-    configuration is served from the process-wide {!Cell_lib.cached}
-    cache. *)
+val render_table3 : t3_row list -> string
 
-val run_bench : options -> Cell_lib.t * Cell_lib.t * Cell_lib.t ->
-  Bench_suite.entry -> t3_row
+val render_fig6 : t3_row list -> string
+(** Per benchmark, the CMOS-to-CNTFET absolute-delay ratio, unit-load and
+    load-aware (STA), against the paper's bars. *)
 
-val run_table3 : ?options:options -> ?benches:string list -> unit -> t3_row list
-val render_table3 : ?options:options -> ?benches:string list -> unit -> string
-
-val run_fig6 : ?options:options -> ?benches:string list -> unit ->
-  (string * float * float) list
-(** Per benchmark: (name, static speed-up vs CMOS, pseudo speed-up). *)
-
-val run_fig6_sta : ?options:options -> ?benches:string list -> unit ->
-  (string * float * float) list
-(** Same ratios computed from the load-aware STA delays on both sides. *)
-
-val render_fig6 : ?options:options -> ?benches:string list -> unit -> string
-
-val summarize :
-  t3_row list ->
-  (string * float) list
+val summarize : t3_row list -> (string * float) list
 (** Aggregate improvement metrics matching Table 3's last rows:
     gate/area/level/delay reductions and absolute speed-ups for both
     CNTFET families. *)

@@ -55,8 +55,8 @@ val fig6_speedups : (string * float * float) list
     pseudo transmission-gate families (the two bar series of Figure 6),
     derived from Table 3's absolute delays. *)
 
-val headline : string -> float
-(** Headline claims by key: "gate_reduction" (~0.38), "area_reduction_static"
-    (0.377), "area_reduction_pseudo" (0.645), "speedup_static" (6.9),
-    "speedup_pseudo" (5.8), "level_reduction_static" (0.415),
-    "level_reduction_pseudo" (0.404), "cntfet_tau_advantage" (5.1). *)
+val aggregates : (string * float) list
+(** The aggregate improvements vs CMOS printed under Table 3 (and the
+    average bars of Figure 6), keyed like {!Experiments.summarize}:
+    gate/area/level reductions as fractions and the average absolute
+    speed-ups of the static (6.9x) and pseudo (5.8x) families. *)

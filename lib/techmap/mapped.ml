@@ -187,6 +187,16 @@ let simulate m words =
   let vals = simulate_values m words in
   Array.map (fun (_, net) -> net_value words vals net) m.outputs
 
+let agrees_by_simulation ~seed ~rounds aig m =
+  let rng = Rand64.create seed in
+  let rec go r =
+    r = 0
+    ||
+    let words = Array.init (Aig.num_inputs aig) (fun _ -> Rand64.next rng) in
+    Aig.simulate_outputs aig words = simulate m words && go (r - 1)
+  in
+  go rounds
+
 let eval m bits =
   let words = Array.map (fun b -> if b then -1L else 0L) bits in
   let out = simulate m words in

@@ -110,6 +110,12 @@ val eval_instance : int64 array -> int64 array -> instance -> int64
 (** One instance's packed output word given packed input words and the
     packed values of (at least) its fanin instances. *)
 
+val agrees_by_simulation : seed:int64 -> rounds:int -> Aig.t -> t -> bool
+(** The random-simulation check of a mapping against its source AIG:
+    [rounds] batches of 64 patterns from a {!Rand64} stream seeded with
+    [seed]; [false] as soon as one output word differs.  Sampling, not
+    proof — {!Cec} decides equivalence formally. *)
+
 val eval : t -> bool array -> bool array
 
 val to_aig : t -> Aig.t

@@ -99,6 +99,36 @@ let test_verify_and_diags () =
     (List.length after.Flow.diags - List.length mid.Flow.diags)
     (List.length (Flow.diags_since mid after))
 
+let test_verify_rejects_broken_mapping () =
+  let ctx, _ =
+    Flow.run (Flow.parse_script_exn "light; map") (Flow.init ~name:"a8" (adder ()))
+  in
+  let m = Option.get ctx.Flow.mapped and golden = Option.get ctx.Flow.golden in
+  let check = Mapped.agrees_by_simulation ~seed:2026L ~rounds:8 golden in
+  Alcotest.(check bool) "intact mapping agrees" true (check m);
+  (* complement one mapped output *)
+  let outputs = Array.copy m.Mapped.outputs in
+  let name, net = outputs.(0) in
+  outputs.(0) <- (name, { net with Mapped.negated = not net.Mapped.negated });
+  let broken = { m with Mapped.outputs } in
+  Alcotest.(check bool) "checker rejects it" false (check broken);
+  let after, _ =
+    Flow.run (Flow.parse_script_exn "verify") { ctx with Flow.mapped = Some broken }
+  in
+  Alcotest.(check bool) "verified = false" true (after.Flow.verified = Some false);
+  let errors =
+    List.filter
+      (fun (d : Diag.t) -> d.Diag.rule = "map-verify" && d.Diag.severity = Diag.Error)
+      (Flow.diags_since ctx after)
+  in
+  Alcotest.(check int) "one map-verify Error" 1 (List.length errors);
+  Alcotest.(check int) "flow exits 1 on it" 1 (Flow.exit_code after.Flow.diags);
+  Alcotest.(check int) "clean run exits 0" 0 (Flow.exit_code ctx.Flow.diags);
+  (* a crash outranks findings *)
+  let crash = Diag.errorf ~rule:"flow-pass-crash" (Diag.Circuit "a8") "boom" in
+  Alcotest.(check int) "crash exits 3" 3
+    (Flow.exit_code (after.Flow.diags @ [ crash ]))
+
 let test_place_pass () =
   let ctx, _ =
     Flow.run
@@ -226,8 +256,9 @@ let test_library_cache () =
   Alcotest.(check int) "two hits" (s0.Cell_lib.hits + 2) s1.Cell_lib.hits;
   Alcotest.(check int) "no new misses" s0.Cell_lib.misses s1.Cell_lib.misses;
   Alcotest.(check bool) "entries counted" true (s1.Cell_lib.entries >= 1);
-  Alcotest.(check bool) "Core.library goes through the cache" true
-    (Core.library `Tg_static == l1)
+  Alcotest.(check bool) "the map pass goes through the cache" true
+    (let ctx, _ = Flow.run (Flow.parse_script_exn "map") (Flow.init ~name:"a8" (adder ())) in
+     Option.get ctx.Flow.lib == l1)
 
 (* ---- runner and matrix determinism ---- *)
 
@@ -528,6 +559,8 @@ let () =
           Alcotest.test_case "map/sta passes = direct calls" `Quick
             test_map_sta_pass_equiv_direct;
           Alcotest.test_case "verify and diags" `Quick test_verify_and_diags;
+          Alcotest.test_case "verify rejects a broken mapping" `Quick
+            test_verify_rejects_broken_mapping;
           Alcotest.test_case "place" `Quick test_place_pass;
           Alcotest.test_case "ordering errors" `Quick
             test_pass_ordering_errors;

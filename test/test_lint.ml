@@ -315,7 +315,7 @@ let test_map_io_cover () =
     (Map_lint.check ~golden m)
 
 let test_map_library () =
-  let lib = Core.library `Tg_static in
+  let lib = Cell_lib.cached Cell_netlist.Tg_static in
   let m = and_netlist () in
   let inst = m.Mapped.instances.(0) in
   check_fires "unknown cell name" ~sev:Diag.Error "map-cell-unknown"
@@ -385,12 +385,12 @@ let test_flow_clean () =
       check_clean "raw adder AIG" (Aig_lint.check aig);
       let opt = Synth.light aig in
       check_clean "optimized adder AIG" (Aig_lint.check opt);
-      let lib = Core.library fam in
+      let lib = Cell_lib.cached fam in
       let m = Mapper.map lib opt in
       check_clean
         ("mapped adder, " ^ Cell_lib.name lib)
         (Map_lint.check ~lib ~golden:opt m))
-    [ `Tg_static; `Cmos ]
+    [ Cell_netlist.Tg_static; Cell_netlist.Cmos ]
 
 (* ---------------- diagnostic rendering ---------------- *)
 

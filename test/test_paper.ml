@@ -1,27 +1,35 @@
-(* End-to-end reproduction tests: the experiment drivers must regenerate
-   the paper's qualitative results (Table 3 shapes, Figure 6 ordering), the
-   fabric must place mapped netlists, and the umbrella Core flow must
-   verify.  Kept to the fast benchmarks so `dune runtest` stays quick. *)
+(* End-to-end reproduction tests: the Table 3 sweep must regenerate the
+   paper's qualitative results (Table 3 shapes, Figure 6 ordering), the
+   fabric must place mapped netlists, and the flow must verify.  Kept to
+   the fast benchmarks so `dune runtest` stays quick. *)
 
 let fast = [ "t481"; "C1355"; "add-16"; "add-32" ]
 
-let opts = { Experiments.default_options with Experiments.verify = true }
+let rows = lazy (Experiments.run_table3 ~benches:fast ())
 
-let rows = lazy (Experiments.run_table3 ~options:opts ~benches:fast ())
+(* resyn2rs, map onto [family], verify: the flow every check below uses *)
+let flow_map ?(family = Cell_netlist.Tg_static) aig =
+  let ctx, _ =
+    Flow.run
+      (Flow.parse_script_exn "resyn2rs; map; verify")
+      (Flow.init ~family ~name:"circuit" aig)
+  in
+  if ctx.Flow.verified <> Some true then Alcotest.fail "mapping not verified";
+  ctx
 
-let stats_of sel (r : Experiments.t3_row) = (sel r).Experiments.stats
+let mapped_of ?family aig = Option.get (flow_map ?family aig).Flow.mapped
 
 let test_rows_verify () =
-  (* run_table3 with verify=true already re-simulated every mapping *)
+  (* run_table3 ends every mapping in [verify] and fails on a mismatch *)
   let rows = Lazy.force rows in
   Alcotest.(check int) "four rows" 4 (List.length rows)
 
 let test_cntfet_beats_cmos_gates_area () =
   List.iter
     (fun (r : Experiments.t3_row) ->
-      let s = stats_of (fun r -> r.Experiments.static_r) r in
-      let p = stats_of (fun r -> r.Experiments.pseudo_r) r in
-      let c = stats_of (fun r -> r.Experiments.cmos_r) r in
+      let s = r.Experiments.static_r in
+      let p = r.Experiments.pseudo_r in
+      let c = r.Experiments.cmos_r in
       if s.Mapped.gates >= c.Mapped.gates then
         Alcotest.failf "%s: static gates not fewer" r.Experiments.bench;
       if s.Mapped.area >= c.Mapped.area then
@@ -42,9 +50,8 @@ let test_absolute_speedups () =
   let speedups =
     List.map
       (fun (r : Experiments.t3_row) ->
-        stats_of (fun r -> r.Experiments.cmos_r) r |> fun c ->
-        stats_of (fun r -> r.Experiments.static_r) r |> fun s ->
-        c.Mapped.abs_delay_ps /. s.Mapped.abs_delay_ps)
+        r.Experiments.cmos_r.Mapped.abs_delay_ps
+        /. r.Experiments.static_r.Mapped.abs_delay_ps)
       rows
   in
   List.iter2
@@ -72,8 +79,8 @@ let test_fig6_consistency () =
   let rows = Lazy.force rows in
   List.iter
     (fun (r : Experiments.t3_row) ->
-      let c = stats_of (fun r -> r.Experiments.cmos_r) r in
-      let s = stats_of (fun r -> r.Experiments.static_r) r in
+      let c = r.Experiments.cmos_r in
+      let s = r.Experiments.static_r in
       let ratio = c.Mapped.abs_delay_ps /. s.Mapped.abs_delay_ps in
       (* tau factor alone is 3.0/0.59 = 5.08; the mapped ratio must exceed
          the pure delay-model ratio whenever norm delays are close *)
@@ -102,38 +109,35 @@ let test_table1_renderer () =
     Catalog.all
 
 let test_published_library_mapping () =
-  (* the Published characterization source must be usable end to end *)
-  let opts =
-    { Experiments.default_options with
-      Experiments.char_source = Experiments.Published;
-      Experiments.verify = true }
-  in
-  let rows = Experiments.run_table3 ~options:opts ~benches:[ "add-16" ] () in
-  match rows with
-  | [ r ] ->
-      let s = stats_of (fun r -> r.Experiments.static_r) r in
+  (* the published Table 2 numbers must be usable end to end *)
+  let aig = Synth.resyn2rs ((Bench_suite.find "add-16").Bench_suite.build ()) in
+  List.iter
+    (fun family ->
+      let m = Mapper.map (Experiments.published_library family) aig in
       Alcotest.(check bool) "mapped with published numbers" true
-        (s.Mapped.gates > 0)
-  | _ -> Alcotest.fail "expected one row"
+        ((Mapped.stats m).Mapped.gates > 0);
+      Alcotest.(check bool) "verified" true
+        (Mapped.agrees_by_simulation ~seed:2026L ~rounds:8 aig m))
+    [ Cell_netlist.Tg_static; Cell_netlist.Tg_pseudo; Cell_netlist.Cmos ]
 
 (* ---- expressive power / coverage ---- *)
 
 let test_coverage_k2 () =
   (* all 10 two-support functions are one CNTFET cell; CMOS gets only
      NAND2/NOR2 without inverters *)
-  let r = Coverage.analyze (Core.library `Tg_static) 2 in
+  let r = Coverage.analyze (Cell_lib.cached Cell_netlist.Tg_static) 2 in
   Alcotest.(check int) "total" 10 r.Coverage.total;
   Alcotest.(check int) "cntfet free" 10 r.Coverage.covered_free;
   Alcotest.(check int) "npn classes" 2 r.Coverage.npn_classes_total;
   Alcotest.(check int) "cntfet classes" 2 r.Coverage.npn_classes_covered;
-  let c = Coverage.analyze (Core.library `Cmos) 2 in
+  let c = Coverage.analyze (Cell_lib.cached Cell_netlist.Cmos) 2 in
   Alcotest.(check int) "cmos free" 2 c.Coverage.covered_free;
   Alcotest.(check bool) "cmos any covers more" true
     (c.Coverage.covered_any > c.Coverage.covered_free)
 
 let test_coverage_k3_ordering () =
-  let s = Coverage.analyze (Core.library `Tg_static) 3 in
-  let c = Coverage.analyze (Core.library `Cmos) 3 in
+  let s = Coverage.analyze (Cell_lib.cached Cell_netlist.Tg_static) 3 in
+  let c = Coverage.analyze (Cell_lib.cached Cell_netlist.Cmos) 3 in
   Alcotest.(check bool) "cntfet covers strictly more (free)" true
     (s.Coverage.covered_free > 4 * c.Coverage.covered_free);
   Alcotest.(check bool) "cntfet covers more classes" true
@@ -173,15 +177,15 @@ let test_dynamic_gnor_degradation () =
 (* ---- fabric ---- *)
 
 let test_fabric_placement () =
-  let r = Core.run ~family:`Tg_static (Arith.adder 8) in
+  let mapped = mapped_of (Arith.adder 8) in
   let fab = Fabric.create ~rows:12 ~cols:12 in
   let p =
-    match Fabric.place fab r.Core.mapped with
+    match Fabric.place fab mapped with
     | Ok p -> p
     | Error e -> Alcotest.failf "placement failed: %s" (Fabric.error_message e)
   in
   Alcotest.(check int) "all instances placed"
-    (Mapped.stats r.Core.mapped).Mapped.gates p.Fabric.tiles_used;
+    (Mapped.stats mapped).Mapped.gates p.Fabric.tiles_used;
   Alcotest.(check bool) "utilization sane" true
     (p.Fabric.utilization > 0.0 && p.Fabric.utilization <= 1.0);
   Alcotest.(check int) "config bits" (p.Fabric.tiles_used * 12)
@@ -194,44 +198,51 @@ let test_fabric_placement () =
     p.Fabric.placed
 
 let test_fabric_too_small () =
-  let r = Core.run ~family:`Tg_static (Arith.adder 8) in
+  let mapped = mapped_of (Arith.adder 8) in
   let fab = Fabric.create ~rows:2 ~cols:2 in
-  match Fabric.place fab r.Core.mapped with
+  match Fabric.place fab mapped with
   | Error (Fabric.Fabric_too_small { tiles; placed; instances } as e) ->
       Alcotest.(check int) "tiles" 4 tiles;
       Alcotest.(check bool) "partial placement" true (placed <= 4);
-      Alcotest.(check int) "instances" (Mapped.stats r.Core.mapped).Mapped.gates
+      Alcotest.(check int) "instances" (Mapped.stats mapped).Mapped.gates
         instances;
       (* the exception-raising convenience wrapper reports the same error *)
       Alcotest.check_raises "place_exn" (Failure (Fabric.error_message e))
-        (fun () -> ignore (Fabric.place_exn fab r.Core.mapped))
+        (fun () -> ignore (Fabric.place_exn fab mapped))
   | Error e -> Alcotest.failf "wrong error: %s" (Fabric.error_message e)
   | Ok _ -> Alcotest.fail "overflow accepted"
 
 let test_fabric_rejects_cmos () =
-  let r = Core.run ~family:`Cmos (Arith.adder 4) in
+  let mapped = mapped_of ~family:Cell_netlist.Cmos (Arith.adder 4) in
   let fab = Fabric.create ~rows:20 ~cols:20 in
-  match Fabric.place fab r.Core.mapped with
+  match Fabric.place fab mapped with
   | Error (Fabric.Not_catalog_cell { instance; cell }) ->
       Alcotest.(check bool) "instance index in range" true
         (instance >= 0
-        && instance < Array.length r.Core.mapped.Mapped.instances);
+        && instance < Array.length mapped.Mapped.instances);
       Alcotest.(check bool) "names a CMOS cell" true (String.length cell > 0)
   | Error e -> Alcotest.failf "wrong error: %s" (Fabric.error_message e)
   | Ok _ -> Alcotest.fail "CMOS netlist accepted by the fabric"
 
-(* ---- core flow ---- *)
+(* ---- the core flow ---- *)
 
 let test_core_flow () =
-  let r = Core.run ~family:`Tg_static (Arith.adder 12) in
+  let original = Arith.adder 12 in
+  let ctx = flow_map original in
   Alcotest.(check bool) "optimized smaller or equal" true
-    (Aig.num_ands r.Core.optimized <= Aig.num_ands r.Core.original);
-  let s = Mapped.stats r.Core.mapped in
+    (Aig.num_ands ctx.Flow.aig <= Aig.num_ands original);
+  let s = Mapped.stats (Option.get ctx.Flow.mapped) in
   Alcotest.(check bool) "mapped" true (s.Mapped.gates > 0)
 
 let test_core_compare () =
-  let results = Core.compare_families (Arith.adder 8) in
-  Alcotest.(check int) "three libraries" 3 (List.length results)
+  (* the Table 3 comparison of one circuit: static, pseudo and CMOS *)
+  let results =
+    List.map
+      (fun family -> (mapped_of ~family (Arith.adder 8)).Mapped.lib_name)
+      [ Cell_netlist.Tg_static; Cell_netlist.Tg_pseudo; Cell_netlist.Cmos ]
+  in
+  Alcotest.(check int) "three libraries" 3
+    (List.length (List.sort_uniq compare results))
 
 let () =
   Alcotest.run "paper"
